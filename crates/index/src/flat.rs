@@ -77,12 +77,6 @@ impl FlatIndex {
         hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         hits
     }
-
-    /// Two-argument form kept one release for source compatibility; new
-    /// code should call [`VectorIndex::search`] with [`SearchParams`].
-    pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::default())
-    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -123,7 +117,9 @@ mod tests {
     #[test]
     fn exact_nearest() {
         let idx = FlatIndex::build(grid()).unwrap();
-        let hits = idx.search(&[3.2, 0.0], 3).unwrap();
+        let hits = idx
+            .search(&[3.2, 0.0], 3, &SearchParams::default())
+            .unwrap();
         assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![3, 4, 2]);
         assert!(hits[0].1 <= hits[1].1 && hits[1].1 <= hits[2].1);
     }
@@ -131,22 +127,26 @@ mod tests {
     #[test]
     fn k_larger_than_n_returns_all() {
         let idx = FlatIndex::build(grid()).unwrap();
-        let hits = idx.search(&[0.0, 0.0], 100).unwrap();
+        let hits = idx
+            .search(&[0.0, 0.0], 100, &SearchParams::default())
+            .unwrap();
         assert_eq!(hits.len(), 10);
     }
 
     #[test]
     fn query_validation() {
         let idx = FlatIndex::build(grid()).unwrap();
-        assert!(idx.search(&[1.0], 3).is_err());
-        assert!(idx.search(&[1.0, 2.0], 0).is_err());
+        assert!(idx.search(&[1.0], 3, &SearchParams::default()).is_err());
+        assert!(idx
+            .search(&[1.0, 2.0], 0, &SearchParams::default())
+            .is_err());
     }
 
     #[test]
     fn ties_break_by_id() {
         let data = vec![vec![1.0], vec![1.0], vec![2.0]];
         let idx = FlatIndex::build(data).unwrap();
-        let hits = idx.search(&[1.0], 2).unwrap();
+        let hits = idx.search(&[1.0], 2, &SearchParams::default()).unwrap();
         assert_eq!(hits[0].0, 0);
         assert_eq!(hits[1].0, 1);
     }

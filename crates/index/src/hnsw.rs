@@ -274,18 +274,6 @@ impl HnswIndex {
         hits
     }
 
-    /// Two-argument form kept one release for source compatibility; new
-    /// code should call [`VectorIndex::search`] with [`SearchParams`].
-    pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::default())
-    }
-
-    /// Explicit-beam form kept one release for source compatibility; new
-    /// code should pass [`SearchParams::with_ef`] to [`VectorIndex::search`].
-    pub fn search_with_ef(&self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::with_ef(ef))
-    }
-
     fn search_beam(&self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Hit>> {
         check_query(self.dim, self.len(), query, k)?;
         if ef == 0 {
@@ -365,7 +353,7 @@ mod tests {
     fn exact_on_tiny_data() {
         let data: Vec<Vec<f32>> = (0..20).map(|i| vec![i as f32]).collect();
         let idx = HnswIndex::build(data, HnswConfig::default()).unwrap();
-        let hits = idx.search(&[7.2], 3).unwrap();
+        let hits = idx.search(&[7.2], 3, &SearchParams::default()).unwrap();
         assert_eq!(hits[0].0, 7);
         assert_eq!(hits[1].0, 8);
         assert_eq!(hits[2].0, 6);
@@ -381,9 +369,14 @@ mod tests {
         let mut total = 0usize;
         for _ in 0..30 {
             let q: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
-            let truth: Vec<usize> = flat.search(&q, 10).unwrap().iter().map(|h| h.0).collect();
+            let truth: Vec<usize> = flat
+                .search(&q, 10, &SearchParams::default())
+                .unwrap()
+                .iter()
+                .map(|h| h.0)
+                .collect();
             let got: Vec<usize> = hnsw
-                .search_with_ef(&q, 10, 64)
+                .search(&q, 10, &SearchParams::with_ef(64))
                 .unwrap()
                 .iter()
                 .map(|h| h.0)
@@ -415,9 +408,14 @@ mod tests {
             let mut hit = 0;
             let mut total = 0;
             for q in &queries {
-                let truth: Vec<usize> = flat.search(q, 10).unwrap().iter().map(|h| h.0).collect();
+                let truth: Vec<usize> = flat
+                    .search(q, 10, &SearchParams::default())
+                    .unwrap()
+                    .iter()
+                    .map(|h| h.0)
+                    .collect();
                 let got: Vec<usize> = hnsw
-                    .search_with_ef(q, 10, ef)
+                    .search(q, 10, &SearchParams::with_ef(ef))
                     .unwrap()
                     .iter()
                     .map(|h| h.0)
@@ -439,21 +437,26 @@ mod tests {
         let a = HnswIndex::build(data.clone(), HnswConfig::default()).unwrap();
         let b = HnswIndex::build(data, HnswConfig::default()).unwrap();
         let q = vec![0.5f32; 8];
-        assert_eq!(a.search(&q, 5).unwrap(), b.search(&q, 5).unwrap());
+        assert_eq!(
+            a.search(&q, 5, &SearchParams::default()).unwrap(),
+            b.search(&q, 5, &SearchParams::default()).unwrap()
+        );
     }
 
     #[test]
     fn query_validation() {
         let idx = HnswIndex::build(random_data(50, 4, 7), HnswConfig::default()).unwrap();
-        assert!(idx.search(&[1.0], 3).is_err());
-        assert!(idx.search(&[0.0; 4], 0).is_err());
-        assert!(idx.search_with_ef(&[0.0; 4], 3, 0).is_err());
+        assert!(idx.search(&[1.0], 3, &SearchParams::default()).is_err());
+        assert!(idx.search(&[0.0; 4], 0, &SearchParams::default()).is_err());
+        assert!(idx.search(&[0.0; 4], 3, &SearchParams::with_ef(0)).is_err());
     }
 
     #[test]
     fn single_point_index() {
         let idx = HnswIndex::build(vec![vec![1.0, 2.0]], HnswConfig::default()).unwrap();
-        let hits = idx.search(&[1.0, 2.0], 5).unwrap();
+        let hits = idx
+            .search(&[1.0, 2.0], 5, &SearchParams::default())
+            .unwrap();
         assert_eq!(hits, vec![(0, 0.0)]);
     }
 }

@@ -67,19 +67,6 @@ impl IvfIndex {
         })
     }
 
-    /// Two-argument form kept one release for source compatibility; new
-    /// code should call [`VectorIndex::search`] with [`SearchParams`].
-    pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::default())
-    }
-
-    /// Explicit-probe form kept one release for source compatibility; new
-    /// code should pass [`SearchParams::with_nprobe`] to
-    /// [`VectorIndex::search`].
-    pub fn search_with_probes(&self, query: &[f32], k: usize, nprobe: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::with_nprobe(nprobe))
-    }
-
     fn search_probes(&self, query: &[f32], k: usize, nprobe: usize) -> Result<Vec<Hit>> {
         check_query(self.dim, self.len(), query, k)?;
         if nprobe == 0 {
@@ -187,8 +174,8 @@ mod tests {
         let mut rng = Xoshiro256::seeded(3);
         for _ in 0..20 {
             let q: Vec<f32> = (0..8).map(|_| rng.normal() as f32).collect();
-            let exact = flat.search(&q, 5).unwrap();
-            let probed = ivf.search_with_probes(&q, 5, 16).unwrap();
+            let exact = flat.search(&q, 5, &SearchParams::default()).unwrap();
+            let probed = ivf.search(&q, 5, &SearchParams::with_nprobe(16)).unwrap();
             assert_eq!(
                 exact.iter().map(|h| h.0).collect::<Vec<_>>(),
                 probed.iter().map(|h| h.0).collect::<Vec<_>>()
@@ -216,9 +203,14 @@ mod tests {
             let mut hit = 0;
             let mut total = 0;
             for q in &queries {
-                let truth: Vec<usize> = flat.search(q, 10).unwrap().iter().map(|h| h.0).collect();
+                let truth: Vec<usize> = flat
+                    .search(q, 10, &SearchParams::default())
+                    .unwrap()
+                    .iter()
+                    .map(|h| h.0)
+                    .collect();
                 let got: Vec<usize> = ivf
-                    .search_with_probes(q, 10, nprobe)
+                    .search(q, 10, &SearchParams::with_nprobe(nprobe))
                     .unwrap()
                     .iter()
                     .map(|h| h.0)
@@ -257,6 +249,8 @@ mod tests {
     fn probe_zero_rejected() {
         let data = random_data(20, 4, 7);
         let ivf = IvfIndex::build(data, IvfConfig::default()).unwrap();
-        assert!(ivf.search_with_probes(&[0.0; 4], 3, 0).is_err());
+        assert!(ivf
+            .search(&[0.0; 4], 3, &SearchParams::with_nprobe(0))
+            .is_err());
     }
 }
