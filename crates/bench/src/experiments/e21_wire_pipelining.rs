@@ -21,7 +21,7 @@
 //!
 //! Results are also written to `BENCH_wire.json` for tracking.
 
-use fstore_common::{EntityKey, Result, Rng, Timestamp, Value, Xoshiro256};
+use fstore_common::{stats::exact_quantile, EntityKey, Result, Rng, Timestamp, Value, Xoshiro256};
 use fstore_core::FeatureServer;
 use fstore_serve::{
     fixed_clock, start, FeatureClient, Request, Response, ServeConfig, ServeEngine, WireSnapshot,
@@ -104,14 +104,6 @@ fn request_for(thread: usize, seq: u64) -> Request {
         entity: format!("u{id}"),
         features: FEATURES.iter().map(|f| f.to_string()).collect(),
     }
-}
-
-fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    Some(sorted[idx])
 }
 
 /// Drive one pipeline depth for `duration`; returns the level summary.
@@ -222,7 +214,6 @@ fn run_level(
     let steady_payload_allocs = metrics.wire_payload_allocs() - allocs_at_steady;
 
     let snapshot = metrics.snapshot();
-    latencies.sort_by(|a, b| a.total_cmp(b));
     let result = LevelResult {
         depth,
         offered_rps,
@@ -232,9 +223,9 @@ fn run_level(
         requests: sent,
         ok,
         errors,
-        p50_ms: percentile(&latencies, 0.50),
-        p95_ms: percentile(&latencies, 0.95),
-        p99_ms: percentile(&latencies, 0.99),
+        p50_ms: exact_quantile(&latencies, 0.50),
+        p95_ms: exact_quantile(&latencies, 0.95),
+        p99_ms: exact_quantile(&latencies, 0.99),
         steady_payload_allocs,
         batches: snapshot.batches,
         batched_requests: snapshot.batched_requests,

@@ -23,7 +23,7 @@
 //! and the cache hit rate plus fault latency p50/p99 are reported in the
 //! table and in `BENCH_tier.json`.
 
-use fstore_common::{Result, Rng, Timestamp, Xoshiro256};
+use fstore_common::{stats::exact_quantile, Result, Rng, Timestamp, Xoshiro256};
 use fstore_core::FeatureServer;
 use fstore_embed::{EmbeddingDb, EmbeddingProvenance, EmbeddingTable};
 use fstore_serve::{fixed_clock, start, ServeConfig, ServeEngine, StoreApi, TierSnapshot};
@@ -61,14 +61,6 @@ fn vector_for(version: u32, row: usize) -> Vec<f32> {
     (0..DIM)
         .map(|j| (u64::from(version) * 1_000_003 + (row * DIM + j) as u64) as f32 * 0.0625)
         .collect()
-}
-
-fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    Some(sorted[idx])
 }
 
 fn tier_dir() -> PathBuf {
@@ -145,7 +137,6 @@ pub fn run(quick: bool) -> Result<()> {
             byte_identical = false;
         }
     }
-    latencies.sort_by(|a, b| a.total_cmp(b));
 
     let snapshot = handle.metrics().snapshot();
     let tier_section = snapshot
@@ -193,8 +184,8 @@ pub fn run(quick: bool) -> Result<()> {
             "client p50 / p99 ms".into(),
             format!(
                 "{} / {}",
-                percentile(&latencies, 0.50).map_or("-".into(), f1),
-                percentile(&latencies, 0.99).map_or("-".into(), f1)
+                exact_quantile(&latencies, 0.50).map_or("-".into(), f1),
+                exact_quantile(&latencies, 0.99).map_or("-".into(), f1)
             ),
         ])
         .row(vec![
@@ -238,8 +229,8 @@ pub fn run(quick: bool) -> Result<()> {
         working_set_over_budget: working_set as f64 / budget as f64,
         requests,
         byte_identical,
-        client_p50_ms: percentile(&latencies, 0.50),
-        client_p99_ms: percentile(&latencies, 0.99),
+        client_p50_ms: exact_quantile(&latencies, 0.50),
+        client_p99_ms: exact_quantile(&latencies, 0.99),
         embed_copies,
         tier: tier_section,
     };

@@ -4,12 +4,16 @@
 //! [`FeatureClient::call_many`] pipelines a whole slice of requests on the
 //! same socket — every frame is written before the first response is
 //! read, and responses come back in request order (the server guarantees
-//! in-order responses per connection, see DESIGN §2.16). Both paths reuse
-//! one encode buffer and one [`FrameReader`], so a warmed-up client does
-//! zero per-request payload allocations.
+//! in-order responses per connection, see DESIGN §2.16). Both are one
+//! write half (`send`, the single encode path) followed by one read half
+//! (`recv`); the halves are crate-visible so a
+//! [`FailoverClient`](crate::FailoverClient) scatter can write to every
+//! server before it reads from any. Both paths reuse one encode buffer
+//! and one [`FrameReader`], so a warmed-up client does zero per-request
+//! payload allocations.
 
 use crate::api::Transport;
-use crate::codec::{write_frame_vectored, FrameEvent, FrameReader, OwnedFrameEvent, MAX_FRAME_LEN};
+use crate::codec::{FrameEvent, FrameReader, OwnedFrameEvent, MAX_FRAME_LEN};
 use crate::protocol::{ErrorCode, Request, Response, WireDelta, WireError, WireHit};
 use crate::repl::ReplLogState;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -279,8 +283,33 @@ impl FeatureClient {
         }
     }
 
-    /// Read and decode one response frame off the connection's reader.
-    fn read_response(&mut self) -> Result<Response, ClientError> {
+    /// The write half of [`FeatureClient::call_many`]: encode `requests`
+    /// as length-prefixed frames into the reusable buffer and push them
+    /// down the socket, in one syscall in the common case. Each request
+    /// written must be answered by one [`FeatureClient::recv`] before the
+    /// connection serves anyone else; a caller that cannot read them all
+    /// must drop the connection.
+    pub(crate) fn send(&mut self, requests: &[Request]) -> Result<(), ClientError> {
+        self.buf.clear();
+        for request in requests {
+            // Reserve the length prefix, encode, backfill — the payload
+            // is serialized exactly once, straight into the wire buffer.
+            let at = self.buf.len();
+            self.buf.put_u32(0);
+            self.encode_wrapped(request);
+            let len = self.buf.len() - at - 4;
+            assert!(len <= MAX_FRAME_LEN, "request frame exceeds MAX_FRAME_LEN");
+            self.buf.as_mut_slice()[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+        }
+        let mut w = &self.stream;
+        w.write_all(self.buf.as_slice())?;
+        w.flush()?;
+        Ok(())
+    }
+
+    /// The read half of [`FeatureClient::call`]: read and decode the next
+    /// response frame off the connection's reader.
+    pub(crate) fn recv(&mut self) -> Result<Response, ClientError> {
         match self.reader.read_frame(
             &self.stream,
             self.max_response_frame,
@@ -303,11 +332,8 @@ impl FeatureClient {
     /// budget wraps the request in a [`Request::WithDeadline`] envelope
     /// (unless the caller already wrapped it).
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.buf.clear();
-        self.encode_wrapped(request);
-        let mut w = &self.stream;
-        write_frame_vectored(&mut w, self.buf.as_slice())?;
-        self.read_response()
+        self.send(std::slice::from_ref(request))?;
+        self.recv()
     }
 
     /// Pipeline `requests` on this connection: write every frame before
@@ -322,23 +348,16 @@ impl FeatureClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        self.buf.clear();
-        for request in requests {
-            // Reserve the length prefix, encode, backfill — the payload
-            // is serialized exactly once, straight into the wire buffer.
-            let at = self.buf.len();
-            self.buf.put_u32(0);
-            self.encode_wrapped(request);
-            let len = self.buf.len() - at - 4;
-            assert!(len <= MAX_FRAME_LEN, "request frame exceeds MAX_FRAME_LEN");
-            self.buf.as_mut_slice()[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
-        }
-        let mut w = &self.stream;
-        w.write_all(self.buf.as_slice())?;
-        w.flush()?;
-        let mut responses = Vec::with_capacity(requests.len());
-        for _ in requests {
-            responses.push(self.read_response()?);
+        self.send(requests)?;
+        self.recv_many(requests.len())
+    }
+
+    /// The read half of [`FeatureClient::call_many`]: the next `n`
+    /// responses, in order.
+    pub(crate) fn recv_many(&mut self, n: usize) -> Result<Vec<Response>, ClientError> {
+        let mut responses = Vec::with_capacity(n);
+        for _ in 0..n {
+            responses.push(self.recv()?);
         }
         Ok(responses)
     }
@@ -380,10 +399,7 @@ impl FeatureClient {
     /// of it zero-copy ([`Response::decode_frame`]) — a multi-megabyte
     /// bootstrap costs one allocation, not frame-plus-payload copies.
     pub fn repl_snapshot(&mut self) -> Result<(u64, Bytes), ClientError> {
-        self.buf.clear();
-        self.encode_wrapped(&Request::ReplSnapshot);
-        let mut w = &self.stream;
-        write_frame_vectored(&mut w, self.buf.as_slice())?;
+        self.send(&[Request::ReplSnapshot])?;
         let frame = match self.reader.read_frame_owned(
             &self.stream,
             self.max_response_frame,

@@ -10,6 +10,12 @@
 //! (PR 6's replication invariant), failing a read over to a follower can
 //! change staleness but never correctness.
 //!
+//! One endpoint walk serves a single call, a pipelined burst, and a
+//! scatter over several clients ([`FailoverClient::scatter`], what the
+//! shard router fans out with): every leg's burst is written before any
+//! answer is read, on the calling thread, and failed legs retry together
+//! after one backoff.
+//!
 //! The breaker takes `Instant`s as arguments rather than reading the
 //! clock itself, which keeps the closed → open → half-open → closed walk
 //! unit-testable without sleeps.
@@ -212,118 +218,109 @@ impl FailoverClient {
         (0..self.endpoints.len()).find(|&i| self.endpoints[i].breaker.allow(now))
     }
 
-    /// Run `op` against endpoint `i`'s connection, establishing it first
-    /// if needed and poisoning it on a transport-class failure (the
-    /// stream may hold half a frame; never reuse it). The error side
-    /// carries whether the request was ever dispatched: a connect failure
-    /// proves the peer saw nothing, which is what lets a write failure be
-    /// sealed as provably-not-applied.
-    fn with_endpoint<T>(
-        &mut self,
-        i: usize,
-        op: impl FnOnce(&mut FeatureClient) -> Result<T, ClientError>,
-    ) -> Result<T, (ClientError, bool)> {
-        let config = self.config.clone();
+    /// Write `requests` down endpoint `i`'s connection, establishing it
+    /// first if needed. The error side carries whether the burst may have
+    /// reached the peer: a connect failure proves the peer saw nothing,
+    /// which is what lets a write failure be sealed as provably not
+    /// applied.
+    fn send_to(&mut self, i: usize, requests: &[Request]) -> Result<(), (ClientError, bool)> {
         let endpoint = &mut self.endpoints[i];
         if endpoint.conn.is_none() {
-            match FeatureClient::connect_with(endpoint.addr.as_str(), &config) {
+            match FeatureClient::connect_with(endpoint.addr.as_str(), &self.config) {
                 Ok(conn) => endpoint.conn = Some(conn),
                 Err(e) => return Err((ClientError::Io(e), false)),
             }
         }
-        let result = op(endpoint.conn.as_mut().expect("just connected"));
-        result.map_err(|e| {
-            if classify(&e) == ErrorClass::Transport {
-                endpoint.conn = None;
-            }
+        let conn = endpoint.conn.as_mut().expect("just connected");
+        conn.send(requests).map_err(|e| {
+            // The stream may hold half a frame; never reuse it.
+            endpoint.conn = None;
             (e, true)
         })
     }
 
-    /// The shared endpoint walk behind [`FailoverClient::call`] and
-    /// [`FailoverClient::call_many`]: pick the healthiest endpoint, run
-    /// `op` against it, and classify the outcome. A definitive answer
-    /// (including a typed fatal error) returns immediately; transport
-    /// failures and typed pushback (`Overloaded`, `ShuttingDown` —
-    /// well-formed responses on the wire, but refusals all the same) trip
-    /// the breaker and move on, retrying with backoff while `retryable`
-    /// and the attempt budget allow.
-    fn run<T>(
-        &mut self,
-        retryable: bool,
-        mut op: impl FnMut(&mut FeatureClient) -> Result<T, ClientError>,
-        outcome_pushback: impl Fn(&T) -> Option<ClientError>,
-        seal: impl Fn(bool, ClientError) -> ClientError,
-    ) -> Result<T, ClientError> {
+    /// Read the `n` answers to the burst last written down endpoint `i`.
+    /// A failure drops the connection: answers left unread on it would
+    /// otherwise be handed to the next request sent down it.
+    fn recv_from(&mut self, i: usize, n: usize) -> Result<Vec<Response>, ClientError> {
+        let endpoint = &mut self.endpoints[i];
+        let conn = endpoint
+            .conn
+            .as_mut()
+            .expect("a dispatched endpoint keeps its connection until read");
+        conn.recv_many(n).inspect_err(|_| endpoint.conn = None)
+    }
+
+    /// The endpoint walk behind every call: run each leg — a client and
+    /// the burst it must answer — to an outcome, on the calling thread.
+    /// The legs move in lockstep rounds. Each round writes every pending
+    /// leg's burst down the healthiest endpoint of its client, then reads
+    /// every dispatched leg's answers in leg order and classifies them:
+    /// a definitive answer (including a typed fatal error) settles the
+    /// leg; transport failures and typed pushback (`Overloaded`,
+    /// `ShuttingDown` — well-formed responses on the wire, but refusals
+    /// all the same) trip that endpoint's breaker and leave the leg
+    /// pending. After one backoff, the next round retries only the
+    /// pending legs, while their attempt budget allows and every request
+    /// in them is idempotent.
+    ///
+    /// Two invariants keep pooled connections in step with their
+    /// requests: an answered leg is never re-sent, and every burst
+    /// written in a round has been read, or its connection dropped,
+    /// before the round ends.
+    fn walk(legs: &mut [Leg<'_>]) {
         let mut attempt: u32 = 0;
-        let mut last_err: Option<(ClientError, bool)> = None;
         loop {
             let now = Instant::now();
-            match self.pick(now) {
-                Some(i) => match self.with_endpoint(i, &mut op) {
-                    Ok(value) => match outcome_pushback(&value) {
-                        Some(error) => {
-                            self.endpoints[i].breaker.record_failure(Instant::now());
-                            last_err = Some((error, true));
-                        }
-                        None => {
-                            self.endpoints[i].breaker.record_success();
-                            if i != 0 {
-                                self.stats.failed_over_calls += 1;
-                            }
-                            return Ok(value);
-                        }
-                    },
-                    Err((error, dispatched)) => {
-                        self.endpoints[i].breaker.record_failure(Instant::now());
-                        if classify(&error) == ErrorClass::Fatal {
-                            // A definitive server answer; another endpoint
-                            // would (byte-identically) say the same.
-                            return Err(error);
-                        }
-                        last_err = Some((error, dispatched));
-                    }
-                },
-                None => {
-                    // Every breaker is open; treat it like a shed and back
-                    // off until a cooldown admits a probe. Nothing was
-                    // dispatched this round.
-                    if last_err.is_none() {
-                        last_err = Some((
-                            ClientError::Io(std::io::Error::new(
-                                std::io::ErrorKind::ConnectionRefused,
-                                "all endpoints circuit-broken",
-                            )),
-                            false,
-                        ));
-                    }
+            for leg in legs.iter_mut().filter(|l| l.outcome.is_none()) {
+                leg.dispatch(now);
+            }
+            for leg in legs.iter_mut() {
+                leg.collect();
+            }
+            let mut backoff: Option<Duration> = None;
+            for leg in legs.iter_mut().filter(|l| l.outcome.is_none()) {
+                let policy = leg.client.policy;
+                if leg.write.is_some() || attempt + 1 >= policy.max_attempts {
+                    leg.exhaust();
+                } else {
+                    let unit = leg.client.rng.next_f64();
+                    backoff = backoff.max(Some(policy.backoff(attempt, unit)));
+                    leg.client.stats.retries += 1;
                 }
             }
-            if !retryable || attempt + 1 >= self.policy.max_attempts {
-                self.stats.exhausted_calls += 1;
-                let (error, dispatched) =
-                    last_err.expect("loop always records an error before exiting");
-                return Err(seal(dispatched, error));
-            }
-            let unit = self.rng.next_f64();
-            std::thread::sleep(self.policy.backoff(attempt, unit));
-            self.stats.retries += 1;
+            let Some(backoff) = backoff else {
+                return;
+            };
+            std::thread::sleep(backoff);
             attempt += 1;
         }
     }
 
+    /// Send one burst per client and gather every answer: the requests
+    /// all go out before the first answer is read, so the servers work
+    /// in parallel while only the calling thread waits, and no thread is
+    /// started. Each leg keeps the retry, breaker and write-sealing rules
+    /// of [`FailoverClient::call_many`]; outcomes come back in leg order.
+    pub fn scatter(
+        legs: Vec<(&mut FailoverClient, &[Request])>,
+    ) -> Vec<Result<Vec<Response>, ClientError>> {
+        let mut legs: Vec<Leg<'_>> = legs
+            .into_iter()
+            .map(|(client, requests)| Leg::new(client, requests))
+            .collect();
+        Self::walk(&mut legs);
+        legs.into_iter().map(Leg::into_outcome).collect()
+    }
+
     /// Send one request, walking endpoints healthiest-first with retries
-    /// and backoff (the private `run` loop holds the outcome rules).
-    /// Non-idempotent requests get exactly one attempt, and a transport
-    /// failure of one is sealed as [`ClientError::WriteFailed`] (see
+    /// and backoff. Non-idempotent requests get exactly one attempt, and
+    /// a transport failure of one is sealed as
+    /// [`ClientError::WriteFailed`] (see
     /// [`crate::retry::seal_write_failure`]).
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.run(
-            request.is_idempotent(),
-            |conn| conn.call(request),
-            crate::retry::pushback,
-            |dispatched, error| crate::retry::seal_write_failure(request, dispatched, error),
-        )
+        let mut responses = self.call_many(std::slice::from_ref(request))?;
+        Ok(responses.pop().expect("one answer per request"))
     }
 
     /// Pipeline a batch on the healthiest endpoint
@@ -334,19 +331,10 @@ impl FailoverClient {
     /// batch — responses are positional, so a partially-shed batch has no
     /// honest success value.
     pub fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let write = requests.iter().find(|r| !r.is_idempotent());
-        self.run(
-            write.is_none(),
-            |conn| conn.call_many(requests),
-            |responses| responses.iter().find_map(crate::retry::pushback),
-            |dispatched, error| match write {
-                Some(w) => crate::retry::seal_write_failure(w, dispatched, error),
-                None => error,
-            },
-        )
+        let mut leg = [Leg::new(self, requests)];
+        Self::walk(&mut leg);
+        let [leg] = leg;
+        leg.into_outcome()
     }
 
     /// Expose the breaker config (tests construct matching breakers).
@@ -381,6 +369,115 @@ impl FailoverClient {
                 },
             })
             .collect();
+    }
+}
+
+/// One leg of [`FailoverClient::walk`]: a client and the burst it must
+/// answer.
+struct Leg<'a> {
+    client: &'a mut FailoverClient,
+    requests: &'a [Request],
+    /// The burst's first non-idempotent request. A leg holding one gets
+    /// exactly one attempt, and its failure is sealed against it.
+    write: Option<&'a Request>,
+    /// The endpoint written this round whose answers are still unread.
+    in_flight: Option<usize>,
+    /// The latest failure, and whether its burst was dispatched.
+    last_err: Option<(ClientError, bool)>,
+    outcome: Option<Result<Vec<Response>, ClientError>>,
+}
+
+impl<'a> Leg<'a> {
+    fn new(client: &'a mut FailoverClient, requests: &'a [Request]) -> Self {
+        Leg {
+            client,
+            requests,
+            write: requests.iter().find(|r| !r.is_idempotent()),
+            in_flight: None,
+            last_err: None,
+            // Nothing to send is answered at once.
+            outcome: requests.is_empty().then(|| Ok(Vec::new())),
+        }
+    }
+
+    /// Pick this round's endpoint and write the burst down it.
+    fn dispatch(&mut self, now: Instant) {
+        match self.client.pick(now) {
+            Some(i) => match self.client.send_to(i, self.requests) {
+                Ok(()) => self.in_flight = Some(i),
+                Err((error, dispatched)) => self.fail(i, error, dispatched),
+            },
+            None => {
+                // Every breaker is open; treat it like a shed and back
+                // off until a cooldown admits a probe. Nothing was
+                // dispatched this round.
+                if self.last_err.is_none() {
+                    self.last_err = Some((
+                        ClientError::Io(std::io::Error::new(
+                            std::io::ErrorKind::ConnectionRefused,
+                            "all endpoints circuit-broken",
+                        )),
+                        false,
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Read and classify the answers to this round's burst, if one went
+    /// out.
+    fn collect(&mut self) {
+        let Some(i) = self.in_flight.take() else {
+            return;
+        };
+        match self.client.recv_from(i, self.requests.len()) {
+            Ok(responses) => match responses.iter().find_map(crate::retry::pushback) {
+                Some(error) => {
+                    self.client.endpoints[i]
+                        .breaker
+                        .record_failure(Instant::now());
+                    self.last_err = Some((error, true));
+                }
+                None => {
+                    self.client.endpoints[i].breaker.record_success();
+                    if i != 0 {
+                        self.client.stats.failed_over_calls += 1;
+                    }
+                    self.outcome = Some(Ok(responses));
+                }
+            },
+            Err(error) => self.fail(i, error, true),
+        }
+    }
+
+    fn fail(&mut self, i: usize, error: ClientError, dispatched: bool) {
+        self.client.endpoints[i]
+            .breaker
+            .record_failure(Instant::now());
+        if classify(&error) == ErrorClass::Fatal {
+            // A definitive server answer; another endpoint would
+            // (byte-identically) say the same.
+            self.outcome = Some(Err(error));
+        } else {
+            self.last_err = Some((error, dispatched));
+        }
+    }
+
+    /// Settle the leg with its last failure, sealed if it holds a write.
+    fn exhaust(&mut self) {
+        self.client.stats.exhausted_calls += 1;
+        let (error, dispatched) = self
+            .last_err
+            .take()
+            .expect("a pending leg always records an error");
+        self.outcome = Some(Err(match self.write {
+            Some(write) => crate::retry::seal_write_failure(write, dispatched, error),
+            None => error,
+        }));
+    }
+
+    fn into_outcome(self) -> Result<Vec<Response>, ClientError> {
+        self.outcome.expect("the walk settles every leg")
     }
 }
 

@@ -319,3 +319,72 @@ fn expired_deadline_budgets_are_shed_with_a_typed_error() {
 
     handle.shutdown();
 }
+
+/// A scatter over two clients whose first one must fail over: both
+/// bursts go out before any answer is read, the leg whose leader is dead
+/// retries on its follower, and the leg that was answered in the first
+/// round is never sent again.
+#[test]
+fn scatter_retries_only_the_legs_that_failed() {
+    let dead = start_server("127.0.0.1:0");
+    let dead_addr = dead.addr().to_string();
+    dead.shutdown();
+    let follower = start_server("127.0.0.1:0");
+    let other = start_server("127.0.0.1:0");
+    let follower_addr = follower.addr().to_string();
+    let other_addr = other.addr().to_string();
+
+    let breakers = BreakerConfig {
+        failure_threshold: 1,
+        open_cooldown: Duration::from_secs(30),
+    };
+    let mut failing = FailoverClient::connect(
+        &[dead_addr.as_str(), follower_addr.as_str()],
+        fast_client_config(),
+        eager_retry(),
+        breakers,
+    );
+    let mut healthy = FailoverClient::connect(
+        &[other_addr.as_str()],
+        fast_client_config(),
+        eager_retry(),
+        breakers,
+    );
+    let burst = [get_u1(), get_u1(), get_u1()];
+    let outcomes = FailoverClient::scatter(vec![
+        (&mut failing, burst.as_slice()),
+        (&mut healthy, &burst[..1]),
+    ]);
+    assert_eq!(outcomes.len(), 2);
+    let answered: Vec<usize> = outcomes
+        .into_iter()
+        .map(|outcome| {
+            let responses = outcome.expect("every leg is answered");
+            for response in &responses {
+                match response {
+                    Response::Features(v) => assert_eq!(v.values, vec![Value::Float(0.5)]),
+                    other => panic!("expected features, got {other:?}"),
+                }
+            }
+            responses.len()
+        })
+        .collect();
+    assert_eq!(answered, vec![3, 1], "one answer per request, in leg order");
+
+    assert_eq!(failing.stats().failed_over_calls, 1);
+    assert_eq!(failing.stats().retries, 1, "one backoff, then the follower");
+    assert_eq!(
+        healthy.stats(),
+        Default::default(),
+        "the answered leg was neither retried nor failed over"
+    );
+    assert_eq!(follower.metrics().total_requests(), 3);
+    assert_eq!(
+        other.metrics().total_requests(),
+        1,
+        "an answered leg is never re-sent"
+    );
+
+    follower.shutdown();
+    other.shutdown();
+}

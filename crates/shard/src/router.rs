@@ -7,9 +7,8 @@
 //!
 //! * point reads (`GetFeatures`, `GetEmbedding`) go to the owning shard,
 //!   decided by the map's consistent hash;
-//! * `GetFeaturesBatch` splits by shard, scatters the sub-batches
-//!   concurrently, and reassembles the response in the caller's entity
-//!   order;
+//! * `GetFeaturesBatch` splits by shard, scatters the sub-batches, and
+//!   reassembles the response in the caller's entity order;
 //! * `SearchNearest` scatters to *every* shard (each holds a disjoint
 //!   slice of the table) and merges the per-shard top-k into a global
 //!   top-k — ascending `(distance, key)`, so the merge is deterministic
@@ -17,6 +16,18 @@
 //! * `SearchNearestByKey` first fetches the anchor vector from its home
 //!   shard, then runs the scatter with `k+1` and drops the anchor from
 //!   the merged hits (only its home shard excludes it natively).
+//!
+//! A scatter starts no thread. The calling thread writes every shard's
+//! request (or pipelined burst) down that shard's persistent connection,
+//! then reads each shard's answers back in turn, so the shard servers
+//! work in parallel while the caller waits once. The per-shard clients
+//! walk their endpoints in lockstep rounds ([`FailoverClient::scatter`]):
+//! a shard that failed or pushed back is retried on its next endpoint
+//! after one shared backoff, and a shard that answered is never asked
+//! again. No answer is left unread: before a scatter returns, every
+//! burst it wrote has been read in full or its connection dropped, so a
+//! later request on a pooled connection always gets its own answer, even
+//! when the router answers the caller with one shard's typed refusal.
 //!
 //! Because [`RouterClient`] implements the same [`Transport`] trait as
 //! every single-node client, the entire `StoreApi` surface works against
@@ -128,37 +139,50 @@ impl RouterClient {
             .expect("bind_clients covers every mapped shard")
     }
 
-    /// Scatter `requests` (one per shard) concurrently; results come back
-    /// in ascending shard-id order.
+    /// Send each shard its burst and gather the answers, thread-free
+    /// ([`FailoverClient::scatter`]): every burst is written before the
+    /// first answer is read. Outcomes come back in `bursts` order; at
+    /// most one burst per shard.
+    fn scatter_bursts(
+        &mut self,
+        bursts: &[(ShardId, Vec<Request>)],
+    ) -> Vec<Result<Vec<Response>, ClientError>> {
+        // Borrow split: each shard's client is moved out of the list
+        // exactly once.
+        let mut clients: Vec<(&u32, &mut FailoverClient)> = self.clients.iter_mut().collect();
+        let legs = bursts
+            .iter()
+            .map(|(shard, burst)| {
+                let i = clients
+                    .iter()
+                    .position(|(id, _)| **id == shard.0)
+                    .expect("bind_clients covers every mapped shard, once per scatter");
+                (clients.swap_remove(i).1, burst.as_slice())
+            })
+            .collect();
+        FailoverClient::scatter(legs)
+    }
+
+    /// Scatter `requests` (one per shard); results come back in
+    /// ascending shard-id order.
     fn scatter(
         &mut self,
-        requests: Vec<(ShardId, Request)>,
+        mut requests: Vec<(ShardId, Request)>,
     ) -> Vec<(ShardId, Result<Response, ClientError>)> {
-        let mut jobs: Vec<(ShardId, Request, &mut FailoverClient)> = Vec::new();
-        let mut clients: Vec<(&u32, &mut FailoverClient)> = self.clients.iter_mut().collect();
-        for (shard, request) in requests {
-            let i = clients
-                .iter()
-                .position(|(id, _)| **id == shard.0)
-                .expect("bind_clients covers every mapped shard");
-            let (_, client) = clients.swap_remove(i);
-            jobs.push((shard, request, client));
-        }
-        let mut results: Vec<(ShardId, Result<Response, ClientError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .into_iter()
-                    .map(|(shard, request, client)| {
-                        scope.spawn(move || (shard, client.call(&request)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scatter thread panicked"))
-                    .collect()
-            });
-        results.sort_by_key(|(shard, _)| *shard);
-        results
+        requests.sort_by_key(|(shard, _)| *shard);
+        let bursts: Vec<(ShardId, Vec<Request>)> = requests
+            .into_iter()
+            .map(|(shard, request)| (shard, vec![request]))
+            .collect();
+        let outcomes = self.scatter_bursts(&bursts);
+        bursts
+            .iter()
+            .zip(outcomes)
+            .map(|((shard, _), outcome)| {
+                let answer = outcome.map(|mut r| r.pop().expect("one answer per request"));
+                (*shard, answer)
+            })
+            .collect()
     }
 
     fn route(&mut self, request: &Request) -> Result<Response, ClientError> {
@@ -442,21 +466,17 @@ impl RouterClient {
     }
 }
 
-/// One scattered group's outcome: the request slots it owned, and the
-/// in-order responses (or the first failure) from its shard's burst.
-type ScatterResult = (Vec<usize>, Result<Vec<Response>, ClientError>);
-
 impl Transport for RouterClient {
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.route(request)
     }
 
     /// Pipelined routing: point reads are grouped by owning shard and each
-    /// group goes down that shard's connection as one `call_many` burst
-    /// (the per-shard `FailoverClient` pipelines it on a single socket),
-    /// with the groups scattered concurrently. Anything that is not a
-    /// point read routes item by item through the ordinary path. Responses
-    /// come back in request order regardless of grouping.
+    /// group goes down that shard's connection as one pipelined burst,
+    /// with every burst written before any answer is read (one
+    /// thread-free scatter). Anything that is not a point read routes
+    /// item by item through the ordinary path. Responses come back in
+    /// request order regardless of grouping.
     fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         self.refresh();
         let mut slots: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
@@ -476,35 +496,14 @@ impl Transport for RouterClient {
                 None => slots[i] = Some(self.route(request)?),
             }
         }
-        // Pair each group with its shard's client (scatter-style borrow
-        // split: each client is moved out of the borrow list exactly once).
-        let mut jobs: Vec<(Vec<usize>, Vec<Request>, &mut FailoverClient)> = Vec::new();
-        let mut clients: Vec<(&u32, &mut FailoverClient)> = self.clients.iter_mut().collect();
-        for (shard, idxs) in by_shard.into_values() {
-            let batch: Vec<Request> = idxs.iter().map(|&i| requests[i].clone()).collect();
-            let i = clients
-                .iter()
-                .position(|(id, _)| **id == shard.0)
-                .expect("bind_clients covers every mapped shard");
-            let (_, client) = clients.swap_remove(i);
-            jobs.push((idxs, batch, client));
-        }
-        let results: Vec<ScatterResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(idxs, batch, client)| scope.spawn(move || (idxs, client.call_many(&batch))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pipelined scatter thread panicked"))
-                .collect()
-        });
-        for (idxs, result) in results {
-            let responses = result?;
-            if responses.len() != idxs.len() {
-                return Err(ClientError::UnexpectedResponse("pipelined batch"));
-            }
-            for (&slot, response) in idxs.iter().zip(responses) {
+        let groups: Vec<(ShardId, Vec<usize>)> = by_shard.into_values().collect();
+        let bursts: Vec<(ShardId, Vec<Request>)> = groups
+            .iter()
+            .map(|(shard, idxs)| (*shard, idxs.iter().map(|&i| requests[i].clone()).collect()))
+            .collect();
+        for ((_, idxs), result) in groups.iter().zip(self.scatter_bursts(&bursts)) {
+            // The walk returns exactly one answer per request sent.
+            for (&slot, response) in idxs.iter().zip(result?) {
                 slots[slot] = Some(response);
             }
         }

@@ -14,7 +14,7 @@ use fstore_embed::{EmbeddingProvenance, EmbeddingTable};
 use fstore_repl::{LeaderParts, ReplLeader};
 use fstore_serve::{
     fixed_clock, start, ClientError, ErrorCode, FeatureClient, IndexSpec, Request, Response,
-    ServeConfig, StoreApi, WireHit,
+    ServeConfig, StoreApi, Transport, WireHit,
 };
 use fstore_shard::{ClusterConfig, ShardCluster, ShardId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -448,5 +448,185 @@ fn router_tcp_front_speaks_the_wire_protocol() {
     }
 
     handle.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn pipelined_routing_equals_item_by_item_calls_in_request_order() {
+    let cluster = two_shard_cluster();
+    let mut router = cluster.router();
+
+    // Point reads interleaved across both shards, with a search (routed
+    // item by item, not grouped) and a read of an absent entity between
+    // them.
+    let mut requests = Vec::new();
+    for u in 0..USERS {
+        requests.push(Request::GetFeatures {
+            group: "user".into(),
+            entity: format!("u{u}"),
+            features: vec!["score".into()],
+        });
+        requests.push(Request::GetEmbedding {
+            table: "emb".into(),
+            key: format!("e{:04}", (u * 7) % EMB_KEYS),
+        });
+        if u == USERS / 2 {
+            requests.push(Request::SearchNearest {
+                table: "emb".into(),
+                query: vector_for(11),
+                k: 4,
+                options: Default::default(),
+            });
+            requests.push(Request::GetFeatures {
+                group: "user".into(),
+                entity: "no-such-user".into(),
+                features: vec!["score".into()],
+            });
+        }
+    }
+    let owners: std::collections::BTreeSet<ShardId> = (0..USERS)
+        .map(|u| cluster.shard_for(&format!("u{u}")))
+        .collect();
+    assert_eq!(owners.len(), 2, "the point reads must span both shards");
+
+    let pipelined = router.send_many(&requests).expect("pipelined routing");
+    let one_by_one: Vec<Response> = requests
+        .iter()
+        .map(|r| router.call(r).expect("routed call"))
+        .collect();
+    assert_eq!(pipelined.len(), requests.len());
+    assert_eq!(
+        pipelined, one_by_one,
+        "pipelined answers differ from item-by-item answers"
+    );
+    // And the answers are the seeded truth, in request order.
+    match &pipelined[0] {
+        Response::Features(v) => assert_eq!(v.values, vec![Value::Float(score_for(0))]),
+        other => panic!("expected features, got {other:?}"),
+    }
+    match &pipelined[pipelined.len() - 2] {
+        Response::Features(v) => {
+            assert_eq!(v.values, vec![Value::Float(score_for(USERS - 1))])
+        }
+        other => panic!("expected features, got {other:?}"),
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_one_sided_refusal_leaves_both_shard_connections_in_step() {
+    let cluster = two_shard_cluster();
+    let mut router = cluster.router();
+
+    // A table each shard holds alone: a scattered search on it gets one
+    // shard's answer and the other's typed refusal. The router returns the
+    // refusal, but the answer must still be read off its connection, or
+    // the next request there would get it instead of its own. `solo1`
+    // puts the refusal on shard 0, which is read first.
+    for shard in [ShardId(0), ShardId(1)] {
+        let mut solo = EmbeddingTable::new(DIM).expect("dim > 0");
+        for i in 0..4 {
+            solo.insert(format!("s{i}"), vector_for(i)).expect("insert");
+        }
+        let table = format!("solo{}", shard.0);
+        let leader = cluster.leader(shard);
+        leader
+            .parts()
+            .embeddings
+            .publish(&table, solo, EmbeddingProvenance::default(), NOW)
+            .expect("publish");
+        leader
+            .parts()
+            .indexes
+            .build(&table, &IndexSpec::Flat)
+            .expect("index");
+    }
+    let entities: Vec<String> = (0..USERS).map(|u| format!("u{u}")).collect();
+    let refs: Vec<&str> = entities.iter().map(String::as_str).collect();
+
+    for round in 0..3 {
+        for table in ["solo0", "solo1"] {
+            let search = router.call(&Request::SearchNearest {
+                table: table.into(),
+                query: vector_for(1),
+                k: 2,
+                options: Default::default(),
+            });
+            assert!(
+                matches!(search, Ok(Response::Error { .. })),
+                "round {round} {table}: expected one shard's typed refusal, got {search:?}"
+            );
+
+            // Both shards' next answers are their own: point reads on
+            // each, then a scattered batch and search.
+            for u in 0..USERS {
+                let v = router
+                    .get_features("user", &format!("u{u}"), &["score"])
+                    .expect("read after the refusal");
+                assert_eq!(
+                    v.values,
+                    vec![Value::Float(score_for(u))],
+                    "round {round} {table} u{u}"
+                );
+            }
+            let batch = router
+                .get_features_batch("user", &refs, &["score"])
+                .expect("batch after the refusal");
+            for (u, v) in batch.iter().enumerate() {
+                assert_eq!(v.values, vec![Value::Float(score_for(u))], "u{u}");
+            }
+            let n = router
+                .search_nearest("emb", &vector_for(5), 3, Default::default())
+                .expect("search after the refusal");
+            assert_eq!(n.hits[0].key, "e0005", "round {round} {table}");
+        }
+    }
+    for (shard, stats) in router.shard_stats() {
+        assert_eq!(
+            stats.retries, 0,
+            "{shard:?}: a typed refusal is not retried"
+        );
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn scatters_fail_over_on_one_shard_only() {
+    let mut cluster = two_shard_cluster();
+    let mut router = cluster.router();
+    let query = vector_for(17);
+    let truth = router
+        .search_nearest("emb", &query, 10, Default::default())
+        .expect("search before the kill");
+    let entities: Vec<String> = (0..USERS).map(|u| format!("u{u}")).collect();
+    let refs: Vec<&str> = entities.iter().map(String::as_str).collect();
+
+    // Shard 0's leader stops listening; the map (no probe has run) still
+    // lists it first, its follower second.
+    cluster.kill_leader(ShardId(0));
+
+    let hits = router
+        .search_nearest("emb", &query, 10, Default::default())
+        .expect("scattered search during the outage");
+    assert_eq!(sig(&hits.hits), sig(&truth.hits));
+    let batch = router
+        .get_features_batch("user", &refs, &["score"])
+        .expect("scattered batch during the outage");
+    for (u, v) in batch.iter().enumerate() {
+        assert_eq!(v.values, vec![Value::Float(score_for(u))], "u{u}");
+    }
+
+    let stats = router.shard_stats();
+    assert_eq!(stats[0].0, ShardId(0));
+    assert!(
+        stats[0].1.failed_over_calls >= 2,
+        "shard 0 was answered by its follower: {stats:?}"
+    );
+    assert_eq!(stats[0].1.exhausted_calls, 0, "{stats:?}");
+    assert_eq!(
+        stats[1].1,
+        fstore_serve::FailoverStats::default(),
+        "shard 1 never failed over, retried or ran out: {stats:?}"
+    );
     cluster.shutdown();
 }
